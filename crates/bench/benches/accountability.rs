@@ -19,12 +19,12 @@
 
 use livesec::accountability::{AccountabilityDetector, PathProof, ProofHop, ProofSource};
 use livesec::flow_sig;
+use livesec_bench::clock::Stopwatch;
 use livesec_net::{FlowKey, MacAddr};
 use livesec_openflow::{attestation_tag, packet_tag, ForwardingAttestation};
 use livesec_sim::{SimDuration, SimTime};
 use serde::Serialize;
 use std::net::Ipv4Addr;
-use std::time::Instant;
 
 /// Flows with registered 3-hop path proofs.
 const FLOWS: u64 = 10_000;
@@ -113,13 +113,12 @@ fn run(flows: u64, packets: u64, tags: u64) -> BenchReport {
     // -- Workload 1: tagging ------------------------------------------
     let key = key_of(7);
     let mut sink = 0u64;
-    // livesec-lint: allow(wall-clock, reason = "bench harness timing")
-    let t0 = Instant::now();
+    let t0 = Stopwatch::start();
     for i in 0..tags {
         let pt = packet_tag(&key, 64 + (i & 0x3ff));
         sink ^= attestation_tag(1, 5, 1, pt);
     }
-    let tag_ns = t0.elapsed().as_nanos() as f64 / tags as f64;
+    let tag_ns = t0.nanos() as f64 / tags as f64;
     std::hint::black_box(sink);
 
     // -- Workload 2a: honest replay -----------------------------------
@@ -128,8 +127,7 @@ fn run(flows: u64, packets: u64, tags: u64) -> BenchReport {
     let mut d = loaded_detector(flows);
     let now = SimTime::from_nanos(1_000_000_000);
     let mut verdicts = 0u64;
-    // livesec-lint: allow(wall-clock, reason = "bench harness timing")
-    let t1 = Instant::now();
+    let t1 = Stopwatch::start();
     for p in 0..packets {
         let key = key_of(p % flows);
         let pkt_tag = packet_tag(&key, 64 + (p & 0x3ff));
@@ -139,7 +137,7 @@ fn run(flows: u64, packets: u64, tags: u64) -> BenchReport {
             }
         }
     }
-    let observe_ns = t1.elapsed().as_nanos() as f64 / (packets * HOPS.len() as u64) as f64;
+    let observe_ns = t1.nanos() as f64 / (packets * HOPS.len() as u64) as f64;
     assert_eq!(verdicts, 0, "honest replay produced verdicts");
     let stats = d.stats();
     assert_eq!(

@@ -22,6 +22,7 @@
 //! Run modes: default = 3 timed passes; `--smoke` = 1 pass (CI);
 //! `--test` = tiny topology, no JSON.
 
+use livesec_bench::clock::Stopwatch;
 use livesec_net::{FlowKey, MacAddr};
 use livesec_openflow::{Action, FlowEntry, Match, OutPort};
 use livesec_policy::{compile, diff};
@@ -29,7 +30,6 @@ use livesec_verify::{audit, audit_delta, EcIndex, RuleDelta, Snapshot};
 use livesec_verify::{FlowView, HostInfo, SwitchState};
 use serde::Serialize;
 use std::net::Ipv4Addr;
-use std::time::Instant;
 
 /// Access switches in the synthetic campus.
 const SWITCHES: u64 = 1_000;
@@ -105,6 +105,7 @@ fn build_snapshot(switches: u64) -> Snapshot {
                 ),
             ],
             degraded: false,
+            registered: true,
         });
         snap.flows.push(FlowView {
             key,
@@ -194,24 +195,21 @@ fn bench_compile(passes: u32) -> CompileResult {
     let (mut full_ns, mut diff_ns, mut apply_ns) = (0u64, 0u64, 0u64);
     let mut script_len = 0usize;
     for _ in 0..passes {
-        // livesec-lint: allow(wall-clock, reason = "bench harness timing")
-        let t0 = Instant::now();
+        let t0 = Stopwatch::start();
         let new = compile(&new_src).expect("edited rulebook compiles").table;
-        full_ns += t0.elapsed().as_nanos() as u64;
+        full_ns += t0.nanos();
 
-        // livesec-lint: allow(wall-clock, reason = "bench harness timing")
-        let t0 = Instant::now();
+        let t0 = Stopwatch::start();
         let script = diff(&old, &new);
-        diff_ns += t0.elapsed().as_nanos() as u64;
+        diff_ns += t0.nanos();
         script_len = script.len();
 
         let mut migrated = old.clone();
-        // livesec-lint: allow(wall-clock, reason = "bench harness timing")
-        let t0 = Instant::now();
+        let t0 = Stopwatch::start();
         for d in &script {
             migrated.apply_delta(d);
         }
-        apply_ns += t0.elapsed().as_nanos() as u64;
+        apply_ns += t0.nanos();
         assert_eq!(migrated, new, "delta script must converge");
     }
     let p = u64::from(passes);
@@ -247,10 +245,9 @@ fn bench_audit(switches: u64, deltas: usize, passes: u32) -> AuditResult {
     // The wall-clock half, recorded for the report.
     let mut full_ns = 0u64;
     for _ in 0..passes {
-        // livesec-lint: allow(wall-clock, reason = "bench harness timing")
-        let t0 = Instant::now();
+        let t0 = Stopwatch::start();
         let violations = audit(&snap);
-        full_ns += t0.elapsed().as_nanos() as u64;
+        full_ns += t0.nanos();
         assert!(violations.is_empty(), "synthetic snapshot must audit clean");
     }
     let mut delta_ns = 0u64;
@@ -258,10 +255,9 @@ fn bench_audit(switches: u64, deltas: usize, passes: u32) -> AuditResult {
         for i in 0..deltas {
             let d = 1 + (i as u64 * 7) % switches;
             let scoped = [RuleDelta::network_wide(single_rule_cube(d))];
-            // livesec-lint: allow(wall-clock, reason = "bench harness timing")
-            let t0 = Instant::now();
+            let t0 = Stopwatch::start();
             let violations = audit_delta(&snap, &scoped);
-            delta_ns += t0.elapsed().as_nanos() as u64;
+            delta_ns += t0.nanos();
             assert!(violations.is_empty(), "scoped audit must be clean too");
         }
     }

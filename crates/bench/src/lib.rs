@@ -30,6 +30,7 @@ pub mod access;
 pub mod aggregate;
 pub mod balance_exp;
 pub mod baseline;
+pub mod clock;
 pub mod latency;
 pub mod policy_demo;
 pub mod scaling;

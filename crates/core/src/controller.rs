@@ -135,19 +135,6 @@ struct FastPassRecord {
     topo_epoch: u64,
 }
 
-/// One entry in the controller's cache-invalidation journal. The
-/// sharded plane replays the suffix past each shard's cursor into
-/// that shard's decision cache: per-MAC drops (host moved, element
-/// failed) and header-class-scoped drops (a policy delta touched the
-/// class).
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum CacheInvalidation {
-    /// Drop every cached decision involving this MAC.
-    Mac(MacAddr),
-    /// Drop every cached decision whose flow falls inside this cube.
-    Class(Match),
-}
-
 /// One flow entry the controller believes a switch should hold — the
 /// unit of comparison for the reconciliation audit.
 struct DesiredEntry {
@@ -213,28 +200,14 @@ pub struct Controller {
     // (DESIGN.md §6).
     active: BTreeMap<FlowKey, FlowRecord>,
     required_certs: Option<HashSet<u64>>,
-    /// The flow-setup fast path's decision cache (`None` = disabled,
-    /// every setup takes the cold path).
-    cache: Option<DecisionCache>,
-    /// Append-only journal of cache invalidations (per-MAC and
-    /// header-class-scoped), consumed by the sharded control plane:
-    /// each shard replays the suffix past its own cursor into its
-    /// decision cache before handling a message. Empty (and never
-    /// written) unless the plane enabled journaling.
-    invalidation_log: Vec<CacheInvalidation>,
-    /// Whether scoped invalidations journal into `invalidation_log`
-    /// (only the sharded plane consumes it).
-    journal_invalidations: bool,
-    /// Advances whenever the whole decision cache must be dropped
-    /// (e.g. the balancer was replaced, so cached picks are void);
-    /// lagging shard caches clear when they observe a newer value.
-    cache_flush_epoch: u64,
-    /// Counts *wholesale* policy edits (`set_policy`/`policy_mut`),
-    /// which stale every cached decision. Scoped deltas applied via
-    /// [`Controller::apply_policy_delta`] advance `policy_epoch`
-    /// without advancing this, so lagging shard caches replay the
-    /// invalidation journal instead of flushing.
-    policy_flushes: u64,
+    /// The flow-setup fast path's decision caches, one per control-plane
+    /// shard and indexed by shard id (`None` = caching disabled, or the
+    /// shard died). A standalone controller is a single shard. Every
+    /// invalidation applies to every cache at once.
+    caches: Vec<Option<DecisionCache>>,
+    /// The shard handling the current dispatch: its cache serves the
+    /// lookups and takes the insertions.
+    active_shard: usize,
     /// `(key, ingress dpid, egress dpid)` of the most recent flow
     /// admission — taken by the sharded plane to count flows whose
     /// ingress and egress land on different shards (handoffs).
@@ -365,11 +338,8 @@ impl Controller {
             directory: None,
             active: BTreeMap::new(),
             required_certs: None,
-            cache: Some(DecisionCache::new()),
-            invalidation_log: Vec::new(),
-            journal_invalidations: false,
-            policy_flushes: 0,
-            cache_flush_epoch: 0,
+            caches: vec![Some(DecisionCache::new())],
+            active_shard: 0,
             last_setup: None,
             txq: Vec::new(),
             batches_flushed: 0,
@@ -590,13 +560,13 @@ impl Controller {
     /// which conservatively stale every cached decision and
     /// fast-pass, this computes the header classes the deltas
     /// actually touch and invalidates only those: decision-cache
-    /// entries inside a touched cube are dropped (and journaled for
-    /// lagging shard caches), fast-passes and established-connection
-    /// reports whose flow falls in a cube are torn down, and
-    /// everything else is re-stamped to the new policy epoch and
-    /// survives warm. Active flow records are left alone either way —
-    /// their entries idle out and the next packet-in re-decides, just
-    /// as after a wholesale edit.
+    /// entries inside a touched cube are dropped on every shard,
+    /// fast-passes and established-connection reports whose flow
+    /// falls in a cube are torn down, and everything else is
+    /// re-stamped to the new policy epoch and survives warm. Active
+    /// flow records are left alone either way — their entries idle
+    /// out and the next packet-in re-decides, just as after a
+    /// wholesale edit.
     ///
     /// Returns the touched header-space cubes in delta order; callers
     /// hand these to `livesec_verify::audit_delta` to verify the edit
@@ -641,8 +611,8 @@ impl Controller {
         }
         // Scoped epoch advance: the policy epoch moves (fast-pass
         // records and established reports are epoch-stamped) but the
-        // flush counter and the cache's internal epoch do not — only
-        // entries inside a touched cube are dropped.
+        // caches' internal epochs do not — only entries inside a
+        // touched cube are dropped.
         self.policy_epoch += 1;
         let pe = self.policy_epoch;
         for &cube in &cubes {
@@ -684,84 +654,76 @@ impl Controller {
     }
 
     /// Records that the policy table may have changed *wholesale*:
-    /// advances the decision cache's policy epoch and stales every
+    /// advances every decision cache's policy epoch and stales every
     /// fast-pass (a connection admitted under the old policy may no
     /// longer be allowed to bypass its chain). Scoped edits go
     /// through [`Controller::apply_policy_delta`] instead.
     fn bump_policy_epoch(&mut self) {
         self.policy_epoch += 1;
-        self.policy_flushes += 1;
-        if let Some(c) = self.cache.as_mut() {
-            c.note_policy_change();
-        }
+        self.live_caches()
+            .for_each(DecisionCache::note_policy_change);
     }
 
-    /// Records that the topology may have changed: advances the
+    /// Records that the topology may have changed: advances every
     /// decision cache's topology epoch and stales every fast-pass
     /// (its direct path was compiled through the old topology).
     fn bump_topology_epoch(&mut self) {
         self.topo_epoch += 1;
-        if let Some(c) = self.cache.as_mut() {
-            c.note_topology_change();
-        }
+        self.live_caches()
+            .for_each(DecisionCache::note_topology_change);
     }
 
-    /// Drops every cached decision touching `mac` and, when the
-    /// sharded plane enabled journaling, appends the invalidation to
-    /// the journal so inactive shards' caches replay it later.
+    /// Drops every cached decision touching `mac`, on every shard.
     pub(crate) fn invalidate_mac(&mut self, mac: MacAddr) {
-        if self.journal_invalidations {
-            self.invalidation_log.push(CacheInvalidation::Mac(mac));
-        }
-        if let Some(c) = self.cache.as_mut() {
-            c.invalidate_mac(mac);
-        }
+        self.live_caches().for_each(|c| c.invalidate_mac(mac));
     }
 
-    /// Drops every cached decision inside the header-space `cube` and,
-    /// when the sharded plane enabled journaling, appends the
-    /// invalidation so inactive shards' caches replay it later.
+    /// Drops every cached decision inside the header-space `cube`, on
+    /// every shard.
     fn invalidate_class(&mut self, cube: Match) {
-        if self.journal_invalidations {
-            self.invalidation_log.push(CacheInvalidation::Class(cube));
+        self.live_caches().for_each(|c| c.invalidate_class(&cube));
+    }
+
+    /// Every live shard's decision cache.
+    fn live_caches(&mut self) -> impl Iterator<Item = &mut DecisionCache> {
+        self.caches.iter_mut().flatten()
+    }
+
+    /// The decision cache of the shard handling the current dispatch.
+    fn active_cache(&mut self) -> Option<&mut DecisionCache> {
+        self.caches.get_mut(self.active_shard)?.as_mut()
+    }
+
+    /// Gives the controller one decision cache per shard of an
+    /// `n`-shard plane (none while caching is disabled). Shard 0 keeps
+    /// the cache it already has.
+    pub(crate) fn set_shard_count(&mut self, n: u32) {
+        let enabled = self.decision_cache_enabled();
+        self.caches
+            .resize_with(n as usize, || enabled.then(DecisionCache::new));
+    }
+
+    /// Makes `shard` the one handling what follows: its cache serves
+    /// flow setup, and the monitor stamps its id on new events.
+    pub(crate) fn activate_shard(&mut self, shard: u32) {
+        self.active_shard = shard as usize;
+        self.monitor.set_shard(shard);
+    }
+
+    /// Drops a dead shard's decision cache.
+    pub(crate) fn drop_shard_cache(&mut self, shard: u32) {
+        if let Some(slot) = self.caches.get_mut(shard as usize) {
+            *slot = None;
         }
-        if let Some(c) = self.cache.as_mut() {
-            c.invalidate_class(&cube);
-        }
     }
 
-    /// Turns the invalidation journal on (the sharded plane) or
-    /// off (the default; nobody would ever drain it).
-    pub(crate) fn set_invalidation_journal(&mut self, on: bool) {
-        self.journal_invalidations = on;
-    }
-
-    /// Journal length — the cursor value an up-to-date shard holds.
-    pub(crate) fn invalidation_log_len(&self) -> usize {
-        self.invalidation_log.len()
-    }
-
-    /// The journal suffix past `cursor` (a shard's unreplayed tail).
-    /// A cursor past the end (possible transiently around a re-base)
-    /// simply has nothing left to replay.
-    pub(crate) fn invalidation_log_since(&self, cursor: usize) -> &[CacheInvalidation] {
-        self.invalidation_log.get(cursor..).unwrap_or(&[])
-    }
-
-    /// Discards the first `n` journal entries once every live shard's
-    /// cursor has passed them (the plane re-bases cursors itself).
-    pub(crate) fn drain_invalidation_log(&mut self, n: usize) {
-        self.invalidation_log.drain(..n);
-    }
-
-    /// The whole-cache flush epoch (see `cache_flush_epoch`).
-    pub(crate) fn cache_flush_epoch(&self) -> u64 {
-        self.cache_flush_epoch
-    }
-
-    /// The wholesale policy-flush counter (see `policy_flushes`).
-    pub(crate) fn policy_flush_count(&self) -> u64 {
-        self.policy_flushes
+    /// One shard's decision-cache counters (`None` if it has no
+    /// cache).
+    pub(crate) fn shard_cache_stats(&self, shard: u32) -> Option<FastPathStats> {
+        self.caches
+            .get(shard as usize)?
+            .as_ref()
+            .map(DecisionCache::stats)
     }
 
     /// The dpid a controller-side peer registered with, if it finished
@@ -770,16 +732,10 @@ impl Controller {
         self.known_nodes.get(&peer).copied()
     }
 
-    /// Mutable access to the monitor (the plane stamps shard ids).
+    /// Mutable access to the monitor (the plane records failover
+    /// events).
     pub(crate) fn monitor_mut(&mut self) -> &mut Monitor {
         &mut self.monitor
-    }
-
-    /// Swaps the active decision cache with `slot` — how the sharded
-    /// plane gives each shard its own cache while sharing one
-    /// controller. Swapping `None` models a disabled cache.
-    pub(crate) fn swap_cache(&mut self, slot: &mut Option<DecisionCache>) {
-        std::mem::swap(&mut self.cache, slot);
     }
 
     /// Takes the `(key, ingress dpid, egress dpid)` of the flow
@@ -788,31 +744,27 @@ impl Controller {
         self.last_setup.take()
     }
 
-    /// Replaces the load balancer in place. Drops the decision cache's
-    /// contents: cached picks came from the old algorithm.
+    /// Replaces the load balancer in place. Drops every decision
+    /// cache's contents: cached picks came from the old algorithm.
     pub fn set_balancer(&mut self, balancer: LoadBalancer) {
-        self.cache_flush_epoch += 1;
-        if let Some(c) = self.cache.as_mut() {
-            c.clear();
-        }
+        self.live_caches().for_each(DecisionCache::clear);
         self.balancer = balancer;
     }
 
-    /// Enables or disables the flow-setup decision cache in place
-    /// (default: enabled). Disabling drops all cached decisions but
-    /// keeps the counters' history via [`Controller::fast_path_stats`]
-    /// until re-enabled (a fresh cache starts counters at zero).
+    /// Enables or disables the flow-setup decision caches in place
+    /// (default: enabled), on every shard. Disabling drops the caches
+    /// and their counters; re-enabling starts fresh ones at zero.
     pub fn set_decision_cache(&mut self, enabled: bool) {
-        match (enabled, self.cache.is_some()) {
-            (true, false) => self.cache = Some(DecisionCache::new()),
-            (false, true) => self.cache = None,
-            _ => {}
+        for slot in &mut self.caches {
+            if slot.is_some() != enabled {
+                *slot = enabled.then(DecisionCache::new);
+            }
         }
     }
 
-    /// Whether the flow-setup decision cache is enabled.
+    /// Whether flow-setup decisions are cached (on any shard).
     pub fn decision_cache_enabled(&self) -> bool {
-        self.cache.is_some()
+        self.caches.iter().any(Option::is_some)
     }
 
     /// Enables certification with the given initial token set.
@@ -1003,13 +955,17 @@ impl Controller {
     }
 
     /// Counters of the flow-setup fast path: cache hits, misses,
-    /// invalidations, and the batching figures.
+    /// invalidations and entries summed over every shard's cache, and
+    /// the batching figures.
     pub fn fast_path_stats(&self) -> FastPathStats {
-        let mut s = self
-            .cache
-            .as_ref()
-            .map(DecisionCache::stats)
-            .unwrap_or_default();
+        let mut s = FastPathStats::default();
+        for c in self.caches.iter().flatten().map(DecisionCache::stats) {
+            s.hits += c.hits;
+            s.misses += c.misses;
+            s.invalidations += c.invalidations;
+            s.insertions += c.insertions;
+            s.entries += c.entries;
+        }
         s.flow_setups = self.flows_installed;
         s.batches_flushed = self.batches_flushed;
         s.messages_batched = self.messages_batched;
@@ -1925,7 +1881,7 @@ impl Controller {
         // monitor event and balancer call the cold path would make is
         // made here too; only the policy lookup and the two
         // compile_path runs are skipped.
-        let cached = match self.cache.as_mut() {
+        let cached = match self.active_cache() {
             Some(c) => c.lookup(&key, (dpid, in_port)),
             None => None,
         };
@@ -1946,7 +1902,7 @@ impl Controller {
                     // programs only if they land on the same elements.
                     match self.run_picks(now, dpid, in_port, &key, &services) {
                         Picks::Denied => {
-                            if let Some(c) = self.cache.as_mut() {
+                            if let Some(c) = self.active_cache() {
                                 c.remove(&key);
                             }
                         }
@@ -1959,7 +1915,7 @@ impl Controller {
                             // The balancer moved (replicas came or
                             // went): the cached programs are stale for
                             // this setup; recompile for the new picks.
-                            if let Some(c) = self.cache.as_mut() {
+                            if let Some(c) = self.active_cache() {
                                 c.remove(&key);
                             }
                             self.admit(ctx, dpid, in_port, pkt, key, services, picks);
@@ -1976,7 +1932,7 @@ impl Controller {
         // monitor events, books) stay here.
         match crate::engine::decide(self, &key) {
             EngineDecision::Deny { rule } => {
-                if let Some(c) = self.cache.as_mut() {
+                if let Some(c) = self.active_cache() {
                     c.insert(
                         key,
                         (dpid, in_port),
@@ -1998,7 +1954,7 @@ impl Controller {
                 forward,
                 reverse,
             } => {
-                if let Some(c) = self.cache.as_mut() {
+                if let Some(c) = self.active_cache() {
                     c.insert(
                         key,
                         (dpid, in_port),
@@ -2113,7 +2069,7 @@ impl Controller {
         let forward = Rc::new(forward);
         let reverse = Rc::new(reverse);
 
-        if let Some(c) = self.cache.as_mut() {
+        if let Some(c) = self.active_cache() {
             c.insert(
                 key,
                 (dpid, in_port),

@@ -8,6 +8,7 @@
 //! Internet gateway, and the controller out-of-band.
 
 use crate::controller::Controller;
+use crate::plane::ShardedControlPlane;
 use livesec_net::{Ipv4Net, MacAddr};
 use livesec_services::{Inspector, ServiceElement};
 use livesec_sim::{LinkSpec, NodeId, PortId, SimDuration, World};
@@ -93,44 +94,33 @@ impl std::fmt::Debug for Campus {
 }
 
 impl Campus {
-    /// Borrows the controller for inspection. On a sharded campus
-    /// (built with [`CampusBuilder::with_shards`]) this is the plane's
-    /// shared controller, so monitoring and NIB inspection look the
-    /// same at every shard count.
+    /// Borrows the controller for inspection: the plane's shared
+    /// controller, so monitoring and NIB inspection look the same at
+    /// every shard count.
     pub fn controller(&self) -> &Controller {
-        match self.world.try_node::<Controller>(self.controller) {
-            Some(c) => c,
-            None => self
-                .world
-                .node::<crate::plane::ShardedControlPlane>(self.controller)
-                .controller(),
-        }
+        self.world
+            .node::<ShardedControlPlane>(self.controller)
+            .controller()
     }
 
     /// Mutably borrows the controller (e.g. to change policy mid-run).
-    /// Works on both plain and sharded campuses; on a sharded one the
-    /// edit propagates to every shard through the epoch tags.
+    /// Edits reach every shard's decision cache at once.
     pub fn controller_mut(&mut self) -> &mut Controller {
-        // Two lookups to satisfy the borrow checker: probe, then borrow.
-        if self.world.try_node::<Controller>(self.controller).is_some() {
-            return self.world.node_mut::<Controller>(self.controller);
-        }
         self.world
-            .node_mut::<crate::plane::ShardedControlPlane>(self.controller)
+            .node_mut::<ShardedControlPlane>(self.controller)
             .controller_mut()
     }
 
-    /// The sharded control plane, if this campus was built with
-    /// [`CampusBuilder::with_shards`].
-    pub fn shard_plane(&self) -> Option<&crate::plane::ShardedControlPlane> {
-        self.world
-            .try_node::<crate::plane::ShardedControlPlane>(self.controller)
+    /// The sharded control plane (always `Some` on a campus from
+    /// [`CampusBuilder::finish`]).
+    pub fn shard_plane(&self) -> Option<&ShardedControlPlane> {
+        self.world.try_node::<ShardedControlPlane>(self.controller)
     }
 
-    /// Mutable access to the sharded control plane, if any.
-    pub fn shard_plane_mut(&mut self) -> Option<&mut crate::plane::ShardedControlPlane> {
+    /// Mutable access to the sharded control plane.
+    pub fn shard_plane_mut(&mut self) -> Option<&mut ShardedControlPlane> {
         self.world
-            .try_node_mut::<crate::plane::ShardedControlPlane>(self.controller)
+            .try_node_mut::<ShardedControlPlane>(self.controller)
     }
 
     /// Borrows an AS switch.
@@ -217,7 +207,7 @@ pub struct CampusBuilder {
     gateway_link: LinkSpec,
     uplink: LinkSpec,
     next_edge: usize,
-    shards: Option<u32>,
+    shards: u32,
     attest_every: u64,
 }
 
@@ -357,7 +347,7 @@ impl CampusBuilder {
             gateway_link: LinkSpec::gigabit(),
             uplink,
             next_edge: 0,
-            shards: None,
+            shards: 1,
             attest_every: 0,
         };
         for _ in 0..n_ovs {
@@ -393,16 +383,15 @@ impl CampusBuilder {
         self
     }
 
-    /// Shards the control plane: at [`CampusBuilder::finish`] the
-    /// controller is wrapped into an `n`-shard
-    /// [`crate::ShardedControlPlane`] (n ≥ 1; even `n = 1` wraps, which
-    /// is how the determinism suite pins the plane against the plain
-    /// controller). All `configure_controller`-style calls still apply
-    /// — they run on the controller before it is wrapped, and
-    /// [`Campus::controller`] keeps working afterwards.
+    /// Shards the control plane (default: 1 shard): at
+    /// [`CampusBuilder::finish`] the controller is wrapped into an
+    /// `n`-shard [`ShardedControlPlane`] (n ≥ 1). All
+    /// `configure_controller`-style calls still apply — they run on
+    /// the controller before it is wrapped, and [`Campus::controller`]
+    /// keeps working afterwards.
     pub fn with_shards(mut self, n: u32) -> Self {
         assert!(n >= 1, "a control plane needs at least one shard");
-        self.shards = Some(n);
+        self.shards = n;
         self
     }
 
@@ -654,16 +643,14 @@ impl CampusBuilder {
 
     /// Finalizes the testbed.
     pub fn finish(mut self) -> Campus {
-        if let Some(n) = self.shards {
-            // Wrap the (fully configured) controller into the sharded
-            // plane. The node id stays the same, so every switch's
-            // control channel keeps pointing at the control plane.
-            let inner = std::mem::take(self.world.node_mut::<Controller>(self.controller));
-            self.world.replace_node(
-                self.controller,
-                crate::plane::ShardedControlPlane::new(inner, n),
-            );
-        }
+        // Wrap the (fully configured) controller into the sharded
+        // plane. The node id stays the same, so every switch's control
+        // channel keeps pointing at the control plane.
+        let inner = std::mem::take(self.world.node_mut::<Controller>(self.controller));
+        self.world.replace_node(
+            self.controller,
+            ShardedControlPlane::new(inner, self.shards),
+        );
         Campus {
             world: self.world,
             controller: self.controller,

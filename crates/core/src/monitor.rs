@@ -326,16 +326,16 @@ impl EventKind {
 pub struct NetworkEvent {
     /// When it happened.
     pub at: SimTime,
-    /// The controller shard that recorded it. Always 0 on an unsharded
-    /// controller; serialization skips the zero so single-controller
-    /// histories keep their pre-sharding byte layout.
+    /// The controller shard that recorded it. Always 0 on a 1-shard
+    /// plane; serialization skips the zero so 1-shard histories keep
+    /// their pre-sharding byte layout.
     pub shard: u32,
     /// What happened.
     pub kind: EventKind,
 }
 
 // Hand-written (the vendored serde_derive has no `skip_serializing_if`):
-// the `shard` key appears only when non-zero, so unsharded histories
+// the `shard` key appears only when non-zero, so 1-shard histories
 // serialize exactly as they did before sharding existed.
 impl serde::Serialize for NetworkEvent {
     fn to_value(&self) -> serde::Value {
@@ -408,8 +408,8 @@ impl Monitor {
     }
 
     /// Sets the shard id stamped onto subsequently recorded events.
-    /// The sharded control plane calls this as it activates a shard;
-    /// an unsharded controller leaves it at 0.
+    /// The controller calls this as the sharded control plane
+    /// activates a shard; a standalone controller leaves it at 0.
     pub fn set_shard(&mut self, shard: u32) {
         self.shard = shard;
     }

@@ -107,10 +107,10 @@ pub enum Violation {
         /// A packet the stale entry would capture.
         witness: Witness,
     },
-    /// Invariant 7 (sharded control planes only): a registered switch
-    /// is not owned by exactly one live shard — either orphaned (no
-    /// owner: its packet-ins go nowhere useful) or multiply owned
-    /// (two shards would race on its table).
+    /// Invariant 7: a registered switch is not owned by exactly one
+    /// live shard — either orphaned (no owner: its packet-ins go
+    /// nowhere useful) or multiply owned (two shards would race on
+    /// its table).
     ShardCoverage {
         /// The switch in question.
         dpid: u64,
@@ -356,18 +356,17 @@ fn check_quarantine(snap: &Snapshot, out: &mut Vec<Violation>) {
     }
 }
 
-/// Invariant 7 (merged per-shard snapshots only): the consistent-hash
-/// ring must cover the dataplane — every switch in the snapshot owned
-/// by exactly one live shard. An unsharded snapshot (`shards` empty)
-/// is vacuously fine.
+/// Invariant 7: the consistent-hash ring must cover the dataplane —
+/// every registered switch in the snapshot owned by exactly one live
+/// shard. A switch the controller dropped has no owner: a partitioned
+/// one until it reconnects, a quarantined one for good (invariant 8
+/// owns those). A hand-built snapshot with no shard views is
+/// vacuously fine.
 fn check_shard_coverage(snap: &Snapshot, out: &mut Vec<Violation>) {
     if snap.shards.is_empty() {
         return;
     }
-    for sw in &snap.switches {
-        if snap.quarantined.contains(&sw.dpid) {
-            continue; // deliberately unowned; invariant 8 owns it
-        }
+    for sw in snap.switches.iter().filter(|sw| sw.registered) {
         let owners: Vec<u32> = snap
             .shards
             .iter()

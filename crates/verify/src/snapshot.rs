@@ -27,6 +27,10 @@ pub struct SwitchState {
     pub entries: Vec<FlowEntry>,
     /// Whether the switch is in a degraded (controller-less) mode.
     pub degraded: bool,
+    /// Whether the controller has the switch registered. It drops a
+    /// switch whose control channel stays silent past the liveness
+    /// timeout, until the switch reconnects.
+    pub registered: bool,
 }
 
 /// A located endpoint (user, gateway, or service element).
@@ -84,10 +88,9 @@ pub struct Snapshot {
     pub fastpasses: Vec<(FlowKey, u64, u64)>,
     /// The controller's current `(policy_epoch, topology_epoch)`.
     pub epochs: (u64, u64),
-    /// On a sharded campus, the per-shard views this merged snapshot
-    /// was assembled from (the shared NIB means the switch tables,
-    /// hosts and flows above are already the union). Empty when the
-    /// controller is unsharded.
+    /// The per-shard views this merged snapshot was assembled from
+    /// (the shared NIB means the switch tables, hosts and flows above
+    /// are already the union). Empty only in snapshots built by hand.
     pub shards: Vec<ShardView>,
     /// Dpids the accountability layer has quarantined: deviating
     /// switches evicted from the control plane whose tables were
@@ -116,6 +119,7 @@ impl Snapshot {
                     n_ports: sw.n_ports(),
                     entries: sw.table_snapshot(),
                     degraded: sw.is_degraded(),
+                    registered: ctl.topology().switch(dpid).is_some(),
                 }
             })
             .collect();
@@ -144,18 +148,15 @@ impl Snapshot {
 
         let shards = c
             .shard_plane()
-            .map(|plane| {
-                plane
-                    .shard_stats()
-                    .into_iter()
-                    .map(|s| ShardView {
-                        id: s.id,
-                        alive: s.alive,
-                        owned: s.owned,
-                    })
-                    .collect()
+            .expect("every campus runs the shard plane")
+            .shard_stats()
+            .into_iter()
+            .map(|s| ShardView {
+                id: s.id,
+                alive: s.alive,
+                owned: s.owned,
             })
-            .unwrap_or_default();
+            .collect();
 
         Snapshot {
             switches,

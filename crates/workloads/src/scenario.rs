@@ -188,10 +188,8 @@ pub struct ScenarioConfig {
     pub decision_cache: bool,
     /// Scheduled control-plane faults (`None` = fault-free run).
     pub chaos: Option<ChaosConfig>,
-    /// Controller shards. `0` (the default) runs the plain unsharded
-    /// controller; `n ≥ 1` wraps it into an n-shard
-    /// [`livesec::ShardedControlPlane`] (so `1` exercises the plane
-    /// itself against the single-controller baseline).
+    /// Shards of the [`livesec::ShardedControlPlane`] that runs the
+    /// controller (default 1; must be at least 1).
     pub shards: u32,
     /// Forwarding-attestation sampling modulus for every AS switch
     /// (`0` = attestations off, the default; `1` = attest every
@@ -214,7 +212,7 @@ impl Default for ScenarioConfig {
             flow_idle: SimDuration::from_secs(1),
             decision_cache: true,
             chaos: None,
-            shards: 0,
+            shards: 1,
             attest_every: 0,
             policy_src: None,
         }
@@ -288,10 +286,8 @@ impl CampusScenario {
                 // Link-load sampling for the Figure-8 utilization view.
                 c.set_stats_polling(10);
                 c.set_decision_cache(decision_cache);
-            });
-        if cfg.shards > 0 {
-            b = b.with_shards(cfg.shards);
-        }
+            })
+            .with_shards(cfg.shards);
         if cfg.attest_every > 0 {
             b = b.with_attestation(cfg.attest_every);
         }

@@ -57,14 +57,19 @@ test -s BENCH_lint.json
 # exactly-one-shard coverage, quarantine isolation).
 run cargo run -q -p livesec-verify --release -- --scenario baseline
 run cargo test -q
+# Every crate's own suites and proptests, the lint fixtures and the
+# per-crate integration tests — the whole workspace, not just the
+# root package.
+run cargo test --workspace -q
 # Seeded chaos soak: the campus under scheduled partitions, crashes,
 # and frame corruption over fixed seeds — zero panics, clean
 # health-stat invariants, byte-identical same-seed histories.
 run cargo test -q --test chaos --test reconciliation
-# Sharded control plane (DESIGN.md §9): the golden-trace gate — a
-# 1-shard plane byte-identical to the plain controller, shards 1/2/4
-# identical modulo shard tags — plus ring properties, cross-shard
-# handoff, and mid-attack shard failover with a clean merged audit.
+# Sharded control plane (DESIGN.md §9): the golden-trace gate — the
+# default 1-shard plane reproduces the pinned single-controller history
+# digests, shards 1/2/4 identical modulo shard tags — plus ring
+# properties, cross-shard handoff, and mid-attack shard failover with
+# a clean merged audit.
 run cargo test -q --test determinism --test shard_ring --test shard_handoff --test shard_failover
 # Scale-out smoke bench: 100k packet-ins partitioned over 1/2/4/8
 # shards; must clear >=3x throughput at 4 shards and (re)write
@@ -108,7 +113,9 @@ run cargo run -q --release --example stateful_firewall
 # Accountability end-to-end: mid-attack rule tamper -> detect,
 # localize, quarantine, re-steer, then release and rejoin.
 run cargo run -q --release --example accountability
-run cargo clippy --workspace -- -D warnings
+# Benches, tests and examples too: their wall-clock timing goes
+# through livesec_bench::clock, the one exempted module.
+run cargo clippy --workspace --all-targets -- -D warnings
 run cargo fmt --check
 
 echo "==> all checks passed"

@@ -147,7 +147,7 @@ fn assert_detected_and_contained(
 
 #[test]
 fn rule_tamper_is_detected_localized_and_quarantined() {
-    let mut s = run_faulted(42, 0, 7, |node| FaultKind::RuleTamper { node });
+    let mut s = run_faulted(42, 1, 7, |node| FaultKind::RuleTamper { node });
     assert!(
         s.campus.switch(1).rules_tampered >= 1,
         "the fault actually rewrote an entry"
@@ -169,13 +169,13 @@ fn rule_tamper_is_detected_localized_and_quarantined() {
 /// no mere detour can explain.
 #[test]
 fn early_rule_tamper_is_classified_as_tamper() {
-    let mut s = run_faulted(42, 0, 3, |node| FaultKind::RuleTamper { node });
+    let mut s = run_faulted(42, 1, 3, |node| FaultKind::RuleTamper { node });
     assert_detected_and_contained(&mut s, &[DeviationKind::Tamper], false);
 }
 
 #[test]
 fn silent_misforward_is_detected_localized_and_quarantined() {
-    let mut s = run_faulted(42, 0, 7, |node| FaultKind::SilentMisforward { node });
+    let mut s = run_faulted(42, 1, 7, |node| FaultKind::SilentMisforward { node });
     assert!(
         s.campus.switch(1).misforwarded_frames >= 1,
         "the fault actually skewed forwarding"
@@ -185,7 +185,7 @@ fn silent_misforward_is_detected_localized_and_quarantined() {
 
 #[test]
 fn packet_injection_is_detected_localized_and_quarantined() {
-    let mut s = run_faulted(42, 0, 7, |node| FaultKind::PacketInject { node });
+    let mut s = run_faulted(42, 1, 7, |node| FaultKind::PacketInject { node });
     assert!(
         s.campus.switch(1).injected_packets >= 1,
         "the fault actually forged a packet"
@@ -216,7 +216,7 @@ fn quarantine_localizes_correctly_under_sharded_planes() {
 #[test]
 fn attested_faulted_history_is_deterministic_byte_for_byte() {
     let run = || {
-        let s = run_faulted(42, 0, 7, |node| FaultKind::RuleTamper { node });
+        let s = run_faulted(42, 1, 7, |node| FaultKind::RuleTamper { node });
         let c = s.campus.controller();
         (c.monitor().to_json(), c.accountability_json())
     };

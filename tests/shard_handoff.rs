@@ -49,19 +49,16 @@ fn cross_shard_flows_get_consistent_end_to_end_paths() {
     assert!(violations.is_empty(), "audit found: {violations:#?}");
 }
 
-/// Regression: a policy epoch bump must reach *every* shard's decision
-/// cache, not just the shard that happens to run next. Before epochs
-/// were tracked per shard, a lagging shard could keep serving cached
-/// steering decisions compiled under a superseded policy.
-#[test]
-fn policy_epoch_bump_invalidates_other_shards_cache_entries() {
-    // The canned scenario's clients all sit on the Wi-Fi AP, so only
-    // one shard's cache ever warms. Build a campus with HTTP clients
-    // on two switches the ring assigns to *different* shards, so the
-    // propagation claim is actually about two caches.
+/// A 4-shard campus with HTTP clients on two switches the ring
+/// assigns to *different* shards, run until both shards' caches are
+/// warm (when `decision_cache` is on). The canned scenario's clients
+/// all sit on the Wi-Fi AP, so only one shard's cache ever warms
+/// there; propagation claims need two caches.
+fn two_warm_shards_campus(decision_cache: bool) -> Campus {
     let mut b = CampusBuilder::new(7, 3)
         .configure_controller(|c| {
             c.set_flow_idle_timeout(SimDuration::from_millis(300));
+            c.set_decision_cache(decision_cache);
         })
         .with_shards(4);
     let gw = b.add_gateway_configured(0, HttpServer::new(), |h| {
@@ -78,7 +75,16 @@ fn policy_epoch_bump_invalidates_other_shards_cache_entries() {
     }
     let mut campus = b.finish();
     campus.world.run_for(SimDuration::from_secs(4));
+    campus
+}
 
+/// Regression: a policy epoch bump must reach *every* shard's decision
+/// cache, not just the shard that happens to run next; otherwise an
+/// idle shard could keep serving cached steering decisions compiled
+/// under a superseded policy.
+#[test]
+fn policy_epoch_bump_invalidates_other_shards_cache_entries() {
+    let mut campus = two_warm_shards_campus(true);
     let before = campus
         .shard_plane()
         .expect("campus is sharded")
@@ -93,8 +99,8 @@ fn policy_epoch_bump_invalidates_other_shards_cache_entries() {
         "need ≥2 shards with warm caches to test propagation: {before:?}"
     );
 
-    // Bump the policy on the shared store (no shard is active here —
-    // propagation happens through the epoch tags alone).
+    // Bump the policy on the shared store, between dispatches: the
+    // controller notes the change in every shard's cache at once.
     campus.controller_mut().set_policy(PolicyTable::allow_all());
 
     campus.world.run_for(SimDuration::from_secs(2));
@@ -134,6 +140,91 @@ fn policy_epoch_bump_invalidates_other_shards_cache_entries() {
         inserted_after > inserted_before,
         "no shard re-cached decisions under the new policy"
     );
+}
+
+/// Runtime cache switches made through the shared controller reach
+/// every shard at once: a balancer swap empties every shard's cache
+/// (cached picks came from the old algorithm), and disabling the cache
+/// leaves no shard with one.
+#[test]
+fn runtime_cache_switches_reach_every_shard() {
+    let mut campus = two_warm_shards_campus(true);
+    let entries = |campus: &Campus| -> Vec<u64> {
+        campus
+            .shard_plane()
+            .expect("campus is sharded")
+            .shard_stats()
+            .iter()
+            .filter_map(|st| st.cache.as_ref().map(|c| c.entries))
+            .collect()
+    };
+    let warm = entries(&campus);
+    assert_eq!(warm.len(), 4, "every shard has a cache: {warm:?}");
+    assert!(
+        warm.iter().filter(|&&n| n > 0).count() >= 2,
+        "need ≥2 warm shards: {warm:?}"
+    );
+
+    campus
+        .controller_mut()
+        .set_balancer(LoadBalancer::min_load());
+    assert_eq!(
+        entries(&campus),
+        vec![0; 4],
+        "a balancer swap must clear every shard's cache"
+    );
+
+    campus.controller_mut().set_decision_cache(false);
+    let stats = campus
+        .shard_plane()
+        .expect("campus is sharded")
+        .shard_stats();
+    assert!(
+        stats.iter().all(|st| st.cache.is_none()),
+        "a disabled cache must leave no shard caching: {stats:?}"
+    );
+    assert!(!campus.controller().decision_cache_enabled());
+
+    // The campus keeps working cacheless.
+    campus.world.run_for(SimDuration::from_secs(1));
+    assert_eq!(campus.controller().fast_path_stats().hits, 0);
+}
+
+/// A policy edit made between dispatches must stale every shard's
+/// cached decisions, not only the active shard's: a stale steering
+/// decision replayed on an idle shard would admit flows the new policy
+/// denies, and the history would stop matching the cacheless run.
+/// Checked for a wholesale edit (epoch note) and a delta (class
+/// invalidation).
+#[test]
+fn policy_edits_stay_invisible_on_every_shard() {
+    let deny_tcp = || PolicyRule::named("no-tcp").proto(6).deny();
+    let run = |decision_cache: bool, delta: bool| {
+        let mut campus = two_warm_shards_campus(decision_cache);
+        let now = campus.world.kernel().now();
+        if delta {
+            let deltas = [PolicyDelta::Insert {
+                index: 0,
+                rule: deny_tcp(),
+            }];
+            campus.controller_mut().apply_policy_delta(now, &deltas);
+        } else {
+            let mut policy = PolicyTable::allow_all();
+            policy.push(deny_tcp());
+            campus.controller_mut().set_policy(policy);
+        }
+        campus.world.run_for(SimDuration::from_secs(2));
+        let c = campus.controller();
+        (c.monitor().to_json(), c.fast_path_stats())
+    };
+    for delta in [false, true] {
+        let ((with_cache, stats), (without_cache, _)) = (run(true, delta), run(false, delta));
+        assert!(stats.hits > 0, "cache never hit: {stats:?}");
+        assert_eq!(
+            with_cache, without_cache,
+            "a stale shard cache changed the history after the edit (delta: {delta})"
+        );
+    }
 }
 
 /// The scoped counterpart of the epoch-bump test above: a policy

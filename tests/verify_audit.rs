@@ -89,6 +89,7 @@ fn tiny_snapshot(entries: Vec<FlowEntry>) -> Snapshot {
             n_ports: 10,
             entries,
             degraded: false,
+            registered: true,
         }],
         hosts: vec![
             HostInfo {
