@@ -1,31 +1,38 @@
 //! `shard_scaling`: packet-in (flow-setup) throughput of the sharded
 //! control plane at 1/2/4/8 shards over a synthetic 100k-host campus.
 //!
-//! The workload is the decision engine's real cold and warm paths —
-//! `livesec::engine::decide` against a [`livesec::NetworkState`] NIB,
-//! fronted by one [`livesec::DecisionCache`] per shard, with the
-//! production [`livesec::HashRing`] partitioning keys by ingress
-//! switch. What is *not* simulated is the event loop around it: each
-//! shard's partition is processed serially in one thread (the 2-core
-//! reference host has fewer cores than the shard counts measured), and
-//! the reported throughput is **makespan-modeled** — total keys
-//! divided by the *slowest single shard's* time, which is what N
-//! independent controller processes would sustain. The model and the
-//! raw per-shard times are both recorded in `BENCH_shards.json`;
-//! nothing here pretends to be a multi-core measurement.
+//! Every packet-in goes through `livesec::engine::decide`, the same
+//! flow-setup path the controller runs: the shard's
+//! [`livesec::DecisionCache`] lookup, the balancer re-pick on a hit,
+//! and policy, picks and path compilation on a miss. The NIB is built
+//! from the controller's own tables (a [`livesec::LocationTable`]
+//! filled by `learn`, a [`livesec::TopologyMap`] whose uplinks come
+//! from `observe_lldp`), and the production [`livesec::HashRing`]
+//! partitions keys by ingress switch. What is *not* simulated is the
+//! event loop around it: each shard's partition is processed serially
+//! in one thread (the 2-core reference host has fewer cores than the
+//! shard counts measured), and the reported throughput is
+//! **makespan-modeled** — total keys divided by the *slowest single
+//! shard's* time, which is what N independent controller processes
+//! would sustain. The model and the raw per-shard times are both
+//! recorded in `BENCH_shards.json`; nothing here pretends to be a
+//! multi-core measurement.
 //!
 //! Run modes: default = full (3 passes); `--smoke` = same topology,
-//! single timed pass (CI); `--test` = tiny run, no JSON (cargo test).
+//! single timed pass, all misses (CI); `--test` = tiny two-pass run
+//! that checks every second-pass packet-in hits, no JSON.
 
-use livesec::cache::{CachedDecision, DecisionCache};
-use livesec::engine::{decide, EngineDecision};
+use livesec::balance::{LoadBalancer, SeRegistry};
+use livesec::cache::DecisionCache;
+use livesec::engine::{decide, EngineDecision, Nib};
+use livesec::location::LocationTable;
 use livesec::policy::{PolicyRule, PolicyTable};
 use livesec::ring::HashRing;
-use livesec::store::NetworkState;
+use livesec::topology::TopologyMap;
 use livesec_bench::clock::Stopwatch;
 use livesec_net::{FlowKey, MacAddr};
 use livesec_services::{SeMessage, ServiceType};
-use livesec_sim::SimTime;
+use livesec_sim::{NodeId, SimTime};
 use serde::Serialize;
 use std::net::Ipv4Addr;
 
@@ -49,6 +56,10 @@ fn se_mac(i: u64) -> MacAddr {
     MacAddr::from_u64(0x0e_0000_0000 + i)
 }
 
+fn host_ip(i: u64) -> Ipv4Addr {
+    Ipv4Addr::from(0x0a00_0000 + (i as u32 & 0xff_ffff))
+}
+
 fn dpid_of_host(i: u64, hosts: u64) -> u64 {
     1 + i % SWITCHES.min(hosts)
 }
@@ -59,18 +70,56 @@ fn ingress_dpid(key: &FlowKey) -> u64 {
     1 + (key.dl_src.to_u64() - 0x02_0000_0000) % SWITCHES
 }
 
-/// The campus NIB: `hosts` hosts over the switches, 2×`REPLICAS`
-/// service elements, and the paper scenario's policy (web flows chain
-/// IDS + proto-id, other TCP chains proto-id).
-fn build_store(hosts: u64) -> NetworkState {
-    let mut s = NetworkState::new();
+/// The campus NIB, in the tables the controller keeps.
+struct Campus {
+    policy: PolicyTable,
+    registry: SeRegistry,
+    balancer: LoadBalancer,
+    locations: LocationTable,
+    topo: TopologyMap,
+}
+
+impl Campus {
+    fn nib(&mut self) -> Nib<'_> {
+        Nib {
+            policy: &self.policy,
+            registry: &self.registry,
+            balancer: &mut self.balancer,
+            locations: &self.locations,
+            topo: &self.topo,
+        }
+    }
+}
+
+/// The campus: `hosts` hosts over the switches, 2×`REPLICAS` service
+/// elements, and the paper scenario's policy (web flows chain IDS +
+/// proto-id, other TCP chains proto-id).
+fn build_campus(hosts: u64) -> Campus {
+    let mut s = Campus {
+        policy: PolicyTable::allow_all(),
+        registry: SeRegistry::new(),
+        balancer: LoadBalancer::min_load(),
+        locations: LocationTable::new(),
+        topo: TopologyMap::new(),
+    };
     let n_switches = SWITCHES.min(hosts);
     for d in 1..=n_switches {
-        s.set_uplink(d, UPLINK);
+        s.topo.add_switch(d, NodeId::from_index(d as usize), 128);
+    }
+    // A probe from the next switch arriving on the uplink marks it.
+    for d in 1..=n_switches {
+        s.topo
+            .observe_lldp((d % n_switches + 1, UPLINK), (d, UPLINK));
     }
     for i in 0..hosts {
         let port = 2 + (i / n_switches) as u32;
-        s.locate(host_mac(i), dpid_of_host(i, hosts), port);
+        s.locations.learn(
+            host_mac(i),
+            host_ip(i),
+            dpid_of_host(i, hosts),
+            port,
+            SimTime::ZERO,
+        );
     }
     let mut policy = PolicyTable::allow_all();
     policy.push(
@@ -111,7 +160,9 @@ fn build_store(hosts: u64) -> NetworkState {
                 SimTime::ZERO,
             );
             // Spread the elements over the first switches.
-            s.locate(mac, 1 + (t as u64 * REPLICAS + r) % n_switches, 39);
+            let ip = Ipv4Addr::new(172, 16, t as u8, r as u8);
+            let dpid = 1 + (t as u64 * REPLICAS + r) % n_switches;
+            s.locations.learn(mac, ip, dpid, 39, SimTime::ZERO);
         }
     }
     s
@@ -126,8 +177,8 @@ fn build_keys(hosts: u64) -> Vec<FlowKey> {
             dl_src: host_mac(i),
             dl_dst: host_mac((i + 1) % hosts),
             dl_type: 0x0800,
-            nw_src: Ipv4Addr::from(0x0a00_0000 + (i as u32 & 0xff_ffff)),
-            nw_dst: Ipv4Addr::from(0x0a00_0000 + (((i + 1) % hosts) as u32 & 0xff_ffff)),
+            nw_src: host_ip(i),
+            nw_dst: host_ip((i + 1) % hosts),
             nw_proto: 6,
             tp_src: 40_000 + (i % 20_000) as u16,
             tp_dst: if i % 3 == 0 { 80 } else { 9_000 },
@@ -135,52 +186,25 @@ fn build_keys(hosts: u64) -> Vec<FlowKey> {
         .collect()
 }
 
-/// Processes one shard's keys through its own decision cache: pass 0
-/// is the cold path (`engine::decide` + insert), later passes are
-/// cache hits — the same division of labor as `ShardedControlPlane`.
-/// Returns (setups, hits).
+/// Processes one shard's keys through its own decision cache, the way
+/// the controller handles that shard's packet-ins: pass 0 misses and
+/// compiles, later passes hit and re-pick. Returns the admitted setups.
 fn run_shard(
-    store: &mut NetworkState,
+    campus: &mut Campus,
     cache: &mut DecisionCache,
     keys: &[&FlowKey],
     passes: u32,
-) -> (u64, u64) {
+) -> u64 {
     let mut setups = 0u64;
-    let mut hits = 0u64;
     for _ in 0..passes {
         for key in keys {
             let ingress = (ingress_dpid(key), 2u32);
-            if cache.lookup(key, ingress).is_some() {
-                hits += 1;
-                continue;
-            }
-            match decide(store, key) {
-                EngineDecision::Steer {
-                    services,
-                    elements,
-                    forward,
-                    reverse,
-                } => {
-                    cache.insert(
-                        **key,
-                        ingress,
-                        CachedDecision::Steer {
-                            services,
-                            elements,
-                            forward,
-                            reverse,
-                        },
-                    );
-                    setups += 1;
-                }
-                EngineDecision::Deny { rule } => {
-                    cache.insert(**key, ingress, CachedDecision::Deny { rule });
-                }
-                _ => {}
+            if let EngineDecision::Steer { .. } = decide(campus.nib(), Some(cache), key, ingress) {
+                setups += 1;
             }
         }
     }
-    (setups, hits)
+    setups
 }
 
 #[derive(Serialize)]
@@ -203,6 +227,7 @@ struct ShardResult {
     /// alone would give with identical per-key cost. The acceptance
     /// floor (3× at 4 shards) must hold against this too.
     ideal_speedup_keys: f64,
+    /// Packet-ins admitted (cache hits included).
     flow_setups: u64,
     cache_hits: u64,
 }
@@ -225,10 +250,10 @@ fn run(hosts: u64, passes: u32) -> BenchReport {
     // tables and CPU before anything is measured, so the 1-shard row
     // (which runs first) isn't penalized for being first.
     {
-        let mut store = build_store(hosts);
+        let mut campus = build_campus(hosts);
         let mut cache = DecisionCache::new();
         let all: Vec<&FlowKey> = keys.iter().collect();
-        run_shard(&mut store, &mut cache, &all, 1);
+        run_shard(&mut campus, &mut cache, &all, 1);
     }
 
     let mut results: Vec<ShardResult> = Vec::new();
@@ -240,17 +265,16 @@ fn run(hosts: u64, passes: u32) -> BenchReport {
         for key in &keys {
             partitions[ring.shard_of_dpid(ingress_dpid(key)) as usize].push(key);
         }
-        let mut store = build_store(hosts);
+        let mut campus = build_campus(hosts);
         let mut per_shard_ns = Vec::with_capacity(n as usize);
         let mut setups = 0u64;
         let mut hits = 0u64;
         for part in &partitions {
             let mut cache = DecisionCache::new();
             let t0 = Stopwatch::start();
-            let (s, h) = run_shard(&mut store, &mut cache, part, passes);
+            setups += run_shard(&mut campus, &mut cache, part, passes);
             per_shard_ns.push(t0.nanos());
-            setups += s;
-            hits += h;
+            hits += cache.stats().hits;
         }
         let makespan = per_shard_ns.iter().copied().max().unwrap_or(1).max(1);
         let total = keys.len() as u64 * u64::from(passes);
@@ -281,7 +305,9 @@ fn run(hosts: u64, passes: u32) -> BenchReport {
         bench: "shard_scaling",
         model: "model, not a parallel measurement: shards run one after another in a single \
                 thread; throughput = total packet-ins / max per-shard time (makespan), i.e. \
-                what N independent shard processes sustain. \
+                what N independent shard processes sustain. Every packet-in runs the \
+                controller's own flow-setup path, engine::decide (cache lookup, balancer \
+                re-pick on hits, policy + picks + compile on misses). \
                 speedup_vs_1 above ideal_speedup_keys is per-shard cache locality (smaller \
                 decision caches are faster per op), not extra parallelism",
         hosts,
@@ -297,8 +323,17 @@ fn main() {
     if args.iter().any(|a| a == "--test") {
         // Under `cargo test` just prove the harness runs; don't time
         // 100k hosts or overwrite the recorded bench artifact.
-        let report = run(2_000, 1);
+        // Two passes: the second one runs the cache-hit re-pick.
+        let report = run(2_000, 2);
         assert_eq!(report.results.len(), SHARD_COUNTS.len());
+        for r in &report.results {
+            assert_eq!(
+                (r.flow_setups, r.cache_hits),
+                (4_000, 2_000),
+                "{} shards",
+                r.shards
+            );
+        }
         println!("test-mode shard_scaling: ok");
         return;
     }

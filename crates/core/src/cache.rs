@@ -23,7 +23,7 @@
 //!   entries.
 //!
 //! The balancer is deliberately *not* epoch-tracked: its picks depend
-//! on live load figures, so the controller re-runs the pick loop on
+//! on live load figures, so [`crate::engine::decide`] re-runs the picks on
 //! every hit and reuses the cached programs only when the picks land
 //! on the same elements. That keeps the cache transparent — with the
 //! cache on or off, the same sequence of balancer calls and monitor
@@ -49,8 +49,7 @@ pub enum CachedDecision {
     /// The flow is admitted — possibly through an empty chain (plain
     /// allow) — with these compiled steering programs.
     Steer {
-        /// The policy chain, before balancing (a pick may be skipped
-        /// under fail-open, so this is not the installed chain).
+        /// The policy chain, one service per element.
         services: Vec<ServiceType>,
         /// The elements the balancer picked when the entry was
         /// compiled, in chain order.

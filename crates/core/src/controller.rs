@@ -17,13 +17,13 @@ use crate::accountability::{
     flow_sig, AccountabilityDetector, AccountabilityStats, Deviation, PathProof, ProofSource,
 };
 use crate::balance::{LoadBalancer, SeRegistry};
-use crate::cache::{CachedDecision, DecisionCache};
+use crate::cache::DecisionCache;
 use crate::directory::DirectoryProxy;
-use crate::engine::EngineDecision;
+use crate::engine::{self, EngineDecision, Nib};
 use crate::location::{LearnOutcome, LocationTable};
 use crate::monitor::{ConnTrackStats, EventKind, FastPathStats, HealthStats, Monitor};
-use crate::policy::{AppAction, PolicyDecision, PolicyDelta, PolicyTable};
-use crate::routing::{compile_path, Hop, SteeringProgram};
+use crate::policy::{AppAction, PolicyDelta, PolicyTable};
+use crate::routing::{compile_pair, SteeringProgram};
 use crate::topology::TopologyMap;
 use livesec_net::packet::{arp_frame, lldp_frame};
 use livesec_net::{
@@ -87,15 +87,6 @@ struct TxBatch {
     buf: Vec<u8>,
     msgs: u64,
     has_flow_mod: bool,
-}
-
-/// The result of running the balancer over a policy chain.
-enum Picks {
-    /// One element per (available) service, in chain order.
-    Elements(Vec<MacAddr>),
-    /// A service had no online replica and fail-open is off; the flow
-    /// was denied.
-    Denied,
 }
 
 /// Book-keeping for one admitted flow.
@@ -293,7 +284,6 @@ pub struct Controller {
     arp_timeout: SimDuration,
     se_timeout: SimDuration,
     flow_idle_timeout: SimDuration,
-    fail_open: bool,
     record_se_load: bool,
     tick_count: u64,
     last_port_stats: HashMap<(u64, u32), (u64, u64)>,
@@ -372,7 +362,6 @@ impl Controller {
             arp_timeout: SimDuration::from_secs(60),
             se_timeout: SimDuration::from_millis(500),
             flow_idle_timeout: SimDuration::from_secs(2),
-            fail_open: false,
             record_se_load: true,
             tick_count: 0,
             last_port_stats: HashMap::new(),
@@ -414,13 +403,6 @@ impl Controller {
     /// Sets the idle timeout of installed flow entries (default 2 s).
     pub fn with_flow_idle_timeout(mut self, d: SimDuration) -> Self {
         self.flow_idle_timeout = d;
-        self
-    }
-
-    /// Admits flows even when their policy chain has no online service
-    /// element (default: fail closed, deny such flows).
-    pub fn with_fail_open(mut self) -> Self {
-        self.fail_open = true;
         self
     }
 
@@ -687,11 +669,6 @@ impl Controller {
     /// Every live shard's decision cache.
     fn live_caches(&mut self) -> impl Iterator<Item = &mut DecisionCache> {
         self.caches.iter_mut().flatten()
-    }
-
-    /// The decision cache of the shard handling the current dispatch.
-    fn active_cache(&mut self) -> Option<&mut DecisionCache> {
-        self.caches.get_mut(self.active_shard)?.as_mut()
     }
 
     /// Gives the controller one decision cache per shard of an
@@ -1529,22 +1506,9 @@ impl Controller {
         if !self.fastpass_enabled || self.fastpasses.contains_key(&key) {
             return;
         }
-        let Some(src_hop) = self.hop_of(key.dl_src) else {
-            return;
-        };
-        let Some(dst_hop) = self.hop_of(key.dl_dst) else {
-            return;
-        };
-        let uplink = |d: u64| self.topo.uplink_of(d);
-        let Ok(forward) = compile_path(&key, &[src_hop, dst_hop], uplink, FASTPASS_PRIORITY) else {
-            return;
-        };
-        let Ok(reverse) = compile_path(
-            &key.reversed(),
-            &[dst_hop, src_hop],
-            uplink,
-            FASTPASS_PRIORITY,
-        ) else {
+        let Some((forward, reverse)) =
+            compile_pair(&key, &[], &self.locations, &self.topo, FASTPASS_PRIORITY)
+        else {
             return;
         };
         self.install_fastpass_program(&forward, FASTPASS_COOKIE);
@@ -1721,15 +1685,6 @@ impl Controller {
         );
     }
 
-    fn hop_of(&self, mac: MacAddr) -> Option<Hop> {
-        let loc = self.locations.lookup(mac)?;
-        Some(Hop {
-            mac,
-            dpid: loc.dpid,
-            port: loc.port,
-        })
-    }
-
     fn install_program(&mut self, program: &SteeringProgram, cookie: Option<u64>) {
         let idle = Some(self.flow_idle_timeout.as_nanos());
         for (i, entry) in program.entries.iter().enumerate() {
@@ -1876,74 +1831,23 @@ impl Controller {
             return;
         }
 
-        // Fast path: replay a memoized decision when nothing it
-        // depended on has changed. The cache is transparent — every
-        // monitor event and balancer call the cold path would make is
-        // made here too; only the policy lookup and the two
-        // compile_path runs are skipped.
-        let cached = match self.active_cache() {
-            Some(c) => c.lookup(&key, (dpid, in_port)),
-            None => None,
+        // Flow setup: the decision engine runs the cache lookup, the
+        // policy verdict, the balancer picks and the path compilation
+        // against the live NIB and the active shard's cache; the side
+        // effects (flow-mods, monitor events, books) stay here.
+        let nib = Nib {
+            policy: &self.policy,
+            registry: &self.registry,
+            balancer: &mut self.balancer,
+            locations: &self.locations,
+            topo: &self.topo,
         };
-        if let Some(decision) = cached {
-            match decision {
-                CachedDecision::Deny { rule } => {
-                    self.deny_flow(now, dpid, in_port, &key, rule);
-                }
-                CachedDecision::Steer {
-                    services,
-                    elements,
-                    forward,
-                    reverse,
-                } => {
-                    // The balancer is stateful (round-robin counters,
-                    // stickiness, queue depths): run the picks exactly
-                    // as the cold path would, and reuse the compiled
-                    // programs only if they land on the same elements.
-                    match self.run_picks(now, dpid, in_port, &key, &services) {
-                        Picks::Denied => {
-                            if let Some(c) = self.active_cache() {
-                                c.remove(&key);
-                            }
-                        }
-                        Picks::Elements(picks) if picks == elements => {
-                            self.finish_admit(
-                                ctx, dpid, in_port, pkt, key, services, elements, forward, reverse,
-                            );
-                        }
-                        Picks::Elements(picks) => {
-                            // The balancer moved (replicas came or
-                            // went): the cached programs are stale for
-                            // this setup; recompile for the new picks.
-                            if let Some(c) = self.active_cache() {
-                                c.remove(&key);
-                            }
-                            self.admit(ctx, dpid, in_port, pkt, key, services, picks);
-                        }
-                    }
-                }
-            }
-            return;
-        }
-
-        // Cold path: the pure decision engine runs the policy lookup,
-        // the balancer picks, and the path compilation against this
-        // controller's state store; the side effects (flow-mods,
-        // monitor events, books) stay here.
-        match crate::engine::decide(self, &key) {
-            EngineDecision::Deny { rule } => {
-                if let Some(c) = self.active_cache() {
-                    c.insert(
-                        key,
-                        (dpid, in_port),
-                        CachedDecision::Deny { rule: rule.clone() },
-                    );
-                }
-                self.deny_flow(now, dpid, in_port, &key, rule);
-            }
-            EngineDecision::ChainUnavailable { rule } => {
-                self.deny_flow(now, dpid, in_port, &key, Some(rule));
-            }
+        let cache = self
+            .caches
+            .get_mut(self.active_shard)
+            .and_then(Option::as_mut);
+        match engine::decide(nib, cache, &key, (dpid, in_port)) {
+            EngineDecision::Deny { rule } => self.deny_flow(now, dpid, in_port, &key, rule),
             EngineDecision::Unroutable => {
                 // Discovery not converged or a host unknown: the
                 // sender re-ARPs and retries.
@@ -1953,23 +1857,9 @@ impl Controller {
                 elements,
                 forward,
                 reverse,
-            } => {
-                if let Some(c) = self.active_cache() {
-                    c.insert(
-                        key,
-                        (dpid, in_port),
-                        CachedDecision::Steer {
-                            services: services.clone(),
-                            elements: elements.clone(),
-                            forward: Rc::clone(&forward),
-                            reverse: Rc::clone(&reverse),
-                        },
-                    );
-                }
-                self.finish_admit(
-                    ctx, dpid, in_port, pkt, key, services, elements, forward, reverse,
-                );
-            }
+            } => self.finish_admit(
+                ctx, dpid, in_port, pkt, key, services, elements, forward, reverse,
+            ),
         }
     }
 
@@ -1998,96 +1888,8 @@ impl Controller {
             .record(now, EventKind::FlowDenied { flow: *key, rule });
     }
 
-    /// Runs the balancer over a policy chain — the stateful half of
-    /// flow setup, shared verbatim by the cold path and the cache-hit
-    /// revalidation so both make identical pick sequences.
-    fn run_picks(
-        &mut self,
-        now: SimTime,
-        dpid: u64,
-        in_port: u32,
-        key: &FlowKey,
-        services: &[ServiceType],
-    ) -> Picks {
-        let mut elements = Vec::with_capacity(services.len());
-        for service in services {
-            match self.balancer.pick(&self.registry, *service, key) {
-                Some(mac) => elements.push(mac),
-                None => {
-                    if self.fail_open {
-                        // Skip the unavailable service.
-                        continue;
-                    }
-                    self.deny_flow(
-                        now,
-                        dpid,
-                        in_port,
-                        key,
-                        Some(format!("no-online-element:{service}")),
-                    );
-                    return Picks::Denied;
-                }
-            }
-        }
-        Picks::Elements(elements)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn admit(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        dpid: u64,
-        in_port: u32,
-        pkt: &Packet,
-        key: FlowKey,
-        services: Vec<ServiceType>,
-        elements: Vec<MacAddr>,
-    ) {
-        let Some(src_hop) = self.hop_of(key.dl_src) else {
-            return;
-        };
-        let Some(dst_hop) = self.hop_of(key.dl_dst) else {
-            return; // destination unknown: the host will re-ARP
-        };
-        let mut hops = Vec::with_capacity(elements.len() + 2);
-        hops.push(src_hop);
-        for mac in &elements {
-            let Some(h) = self.hop_of(*mac) else { return };
-            hops.push(h);
-        }
-        hops.push(dst_hop);
-
-        let uplink = |d: u64| self.topo.uplink_of(d);
-        let Ok(forward) = compile_path(&key, &hops, uplink, STEER_PRIORITY) else {
-            return; // discovery not converged yet; the host retries
-        };
-        let mut rev_hops = hops.clone();
-        rev_hops.reverse();
-        let Ok(reverse) = compile_path(&key.reversed(), &rev_hops, uplink, STEER_PRIORITY) else {
-            return;
-        };
-        let forward = Rc::new(forward);
-        let reverse = Rc::new(reverse);
-
-        if let Some(c) = self.active_cache() {
-            c.insert(
-                key,
-                (dpid, in_port),
-                CachedDecision::Steer {
-                    services: services.clone(),
-                    elements: elements.clone(),
-                    forward: Rc::clone(&forward),
-                    reverse: Rc::clone(&reverse),
-                },
-            );
-        }
-        self.finish_admit(
-            ctx, dpid, in_port, pkt, key, services, elements, forward, reverse,
-        );
-    }
-
     /// Installs the compiled programs, releases the triggering packet,
-    /// and books the flow — shared by the cold path and cache hits.
+    /// and books an admitted flow.
     #[allow(clippy::too_many_arguments)]
     fn finish_admit(
         &mut self,
@@ -2096,16 +1898,13 @@ impl Controller {
         in_port: u32,
         pkt: &Packet,
         key: FlowKey,
-        services: Vec<ServiceType>,
+        chain: Vec<ServiceType>,
         elements: Vec<MacAddr>,
         forward: Rc<SteeringProgram>,
         reverse: Rc<SteeringProgram>,
     ) {
         let now = ctx.now();
         let egress_dpid = forward.entries.last().map_or(dpid, |e| e.dpid);
-        // Under fail-open a pick may have been skipped, so the
-        // installed chain is the picked prefix of the policy chain.
-        let chain: Vec<ServiceType> = services.iter().copied().take(elements.len()).collect();
         self.install_program(&forward, Some(INGRESS_COOKIE));
         self.install_program(&reverse, Some(REVERSE_COOKIE));
         self.register_proofs(
@@ -2543,33 +2342,6 @@ impl Controller {
 impl Default for Controller {
     fn default() -> Self {
         Controller::new()
-    }
-}
-
-/// The controller *is* a state store: the decision engine reads
-/// policy, balancer, locations and topology straight out of the live
-/// NIB. A standalone [`crate::store::NetworkState`] offers the same
-/// view without a controller (benches, unit tests).
-impl crate::store::StateStore for Controller {
-    fn decide_policy(&self, key: &FlowKey) -> (PolicyDecision, Option<String>) {
-        let (decision, rule) = self.policy.decide(key);
-        (decision.clone(), rule.map(str::to_owned))
-    }
-
-    fn pick_element(&mut self, service: ServiceType, key: &FlowKey) -> Option<MacAddr> {
-        self.balancer.pick(&self.registry, service, key)
-    }
-
-    fn hop_of(&self, mac: MacAddr) -> Option<Hop> {
-        Controller::hop_of(self, mac)
-    }
-
-    fn uplink_of(&self, dpid: u64) -> Option<u32> {
-        self.topo.uplink_of(dpid)
-    }
-
-    fn fail_open(&self) -> bool {
-        self.fail_open
     }
 }
 

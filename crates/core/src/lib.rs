@@ -53,7 +53,6 @@ pub mod plane;
 pub mod policy;
 pub mod ring;
 pub mod routing;
-pub mod store;
 pub mod topology;
 
 pub use accountability::{
@@ -75,7 +74,6 @@ pub use plane::{ShardStats, ShardedControlPlane};
 pub use policy::{AppAction, PolicyDecision, PolicyRule, PolicyTable};
 pub use ring::HashRing;
 pub use routing::{SteeringProgram, SwitchEntry};
-pub use store::{NetworkState, StateStore};
 pub use topology::TopologyMap;
 
 /// Convenient glob-import surface: `use livesec::prelude::*;`.
@@ -99,7 +97,6 @@ pub mod prelude {
     pub use crate::policy::{AppAction, PolicyDecision, PolicyDelta, PolicyRule, PolicyTable};
     pub use crate::ring::HashRing;
     pub use crate::routing::{SteeringProgram, SwitchEntry};
-    pub use crate::store::{NetworkState, StateStore};
     pub use crate::topology::TopologyMap;
     pub use livesec_sim::prelude::*;
 }

@@ -9,8 +9,11 @@
 //! plain L2 switching, and the next hop's switch relays to the
 //! attached port. [`compile_path`] turns a hop list into the complete
 //! set of flow entries — the generalization of the paper's 4-entry
-//! program (§IV-A) to arbitrary chain lengths.
+//! program (§IV-A) to arbitrary chain lengths — and [`compile_pair`]
+//! looks a flow's hops up in the NIB and compiles both directions.
 
+use crate::location::LocationTable;
+use crate::topology::TopologyMap;
 use livesec_net::{FlowKey, MacAddr};
 use livesec_openflow::{Action, Match, OutPort};
 use serde::{Deserialize, Serialize};
@@ -205,6 +208,40 @@ pub fn compile_path(
         }
     }
     Ok(program)
+}
+
+/// Compiles both directions of `key`'s path: from its source, through
+/// `waypoints` in order, to its destination. Every hop is looked up in
+/// `locations` and every uplink in `topo`.
+///
+/// Returns `(forward, reverse)`, or `None` while a hop is unlocated or
+/// an uplink undiscovered (the sender re-ARPs and retries).
+pub fn compile_pair(
+    key: &FlowKey,
+    waypoints: &[MacAddr],
+    locations: &LocationTable,
+    topo: &TopologyMap,
+    priority: u16,
+) -> Option<(SteeringProgram, SteeringProgram)> {
+    let hop_of = |mac: MacAddr| {
+        let loc = locations.lookup(mac)?;
+        Some(Hop {
+            mac,
+            dpid: loc.dpid,
+            port: loc.port,
+        })
+    };
+    let mut hops = Vec::with_capacity(waypoints.len() + 2);
+    hops.push(hop_of(key.dl_src)?);
+    for mac in waypoints {
+        hops.push(hop_of(*mac)?);
+    }
+    hops.push(hop_of(key.dl_dst)?);
+    let uplink = |dpid: u64| topo.uplink_of(dpid);
+    let forward = compile_path(key, &hops, uplink, priority).ok()?;
+    hops.reverse();
+    let reverse = compile_path(&key.reversed(), &hops, uplink, priority).ok()?;
+    Some((forward, reverse))
 }
 
 #[cfg(test)]

@@ -87,17 +87,11 @@ impl TopologyMap {
     /// the link was new.
     ///
     /// The receiving port is marked as the receiver's uplink: LLDP can
-    /// only cross the legacy fabric, never a host port.
+    /// only cross the legacy fabric, never a host port. The origin's
+    /// uplink is learned the same way when the peer probes back.
     pub fn observe_lldp(&mut self, from: (u64, u32), to: (u64, u32)) -> bool {
         if let Some(sw) = self.switches.get_mut(&to.0) {
             sw.uplink = Some(to.1);
-        }
-        if let Some(sw) = self.switches.get_mut(&from.0) {
-            // The origin flooded the probe; the port it left through to
-            // reach a peer must also be its uplink. With the flood
-            // action we can't see the egress port directly, so we use
-            // the symmetric observation when the peer probes back.
-            let _ = sw;
         }
         self.links.insert(LogicalLink { from, to })
     }

@@ -472,7 +472,7 @@ pub enum StateMatch {
 }
 
 impl StateMatch {
-    fn admits(self, ps: PacketState) -> bool {
+    fn accepts(self, ps: PacketState) -> bool {
         matches!(
             (self, ps),
             (StateMatch::New, PacketState::New)
@@ -573,7 +573,7 @@ impl FwRule {
             && self.dst.map(|n| n.contains(flow.nw_dst)).unwrap_or(true)
             && self.proto.map(|p| p == flow.nw_proto).unwrap_or(true)
             && self.dst_port.map(|p| p == flow.tp_dst).unwrap_or(true)
-            && self.state.map(|s| s.admits(ps)).unwrap_or(true)
+            && self.state.map(|s| s.accepts(ps)).unwrap_or(true)
     }
 
     /// Whether every packet this rule's successor `other` could match

@@ -184,7 +184,8 @@ pub fn best_entry<'a>(
     best
 }
 
-fn apply_to_key(key: &mut FlowKey, action: &Action) {
+/// Applies one header rewrite to `key` (outputs leave it unchanged).
+pub fn apply_to_key(key: &mut FlowKey, action: &Action) {
     match *action {
         Action::SetDlSrc(m) => key.dl_src = m,
         Action::SetDlDst(m) => key.dl_dst = m,

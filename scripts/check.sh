@@ -71,6 +71,9 @@ run cargo test -q --test chaos --test reconciliation
 # properties, cross-shard handoff, and mid-attack shard failover with
 # a clean merged audit.
 run cargo test -q --test determinism --test shard_ring --test shard_handoff --test shard_failover
+# Scale-out bench, test mode: a small two-pass run whose second pass
+# must hit every shard's cache (the controller's re-pick path).
+run cargo bench -q -p livesec-bench --bench shard_scaling -- --test
 # Scale-out smoke bench: 100k packet-ins partitioned over 1/2/4/8
 # shards; must clear >=3x throughput at 4 shards and (re)write
 # BENCH_shards.json.
@@ -116,6 +119,13 @@ run cargo run -q --release --example accountability
 # Benches, tests and examples too: their wall-clock timing goes
 # through livesec_bench::clock, the one exempted module.
 run cargo clippy --workspace --all-targets -- -D warnings
+# The benchmark crate is a workspace of its own (simbench/), so the
+# workspace steps above never build it: gate its build, its lints and
+# its shim check (wrapped and unwrapped runs of a faulted 2-shard
+# campus must give byte-identical histories), so a core API change
+# cannot silently break the benchmark.
+run cargo test -q --offline --locked --manifest-path simbench/Cargo.toml
+run cargo clippy --offline --locked --manifest-path simbench/Cargo.toml --all-targets -- -D warnings
 run cargo fmt --check
 
 echo "==> all checks passed"

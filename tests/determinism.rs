@@ -197,3 +197,129 @@ fn different_seeds_still_reproduce_the_same_shape() {
     assert_eq!(summary.get("se_online").copied(), Some(4));
     assert!(summary.get("flow_start").copied().unwrap_or(0) > 5);
 }
+
+/// The fast-path counters and the elements of the latest flow start,
+/// sampled after one step of a run.
+type Step = (FastPathStats, Vec<MacAddr>);
+
+/// A two-switch campus whose one user re-opens the same web flow every
+/// 400 ms through an IDS chain, with flow entries idling out at
+/// 300 ms, so each request is a fresh setup of one cached key. `ids`
+/// certified replicas sit on switch 0. `setup` runs before the start
+/// and `change` after a 3 s warm-up; then the campus runs 3 s more in
+/// 10 ms steps. Returns the history, the replicas, and after every
+/// step the fast-path counters and the elements of the latest flow
+/// start.
+fn recurring_ids_flow(
+    decision_cache: bool,
+    ids: usize,
+    setup: fn(&mut Campus, &[SeHandle]),
+    change: fn(&mut Campus, &[SeHandle]),
+) -> (String, Vec<SeHandle>, Vec<Step>) {
+    let mut policy = PolicyTable::allow_all();
+    policy.push(
+        PolicyRule::named("ids-web")
+            .dst_port(80)
+            .chain(vec![ServiceType::IntrusionDetection]),
+    );
+    let mut b = CampusBuilder::new(7, 2)
+        .with_policy(policy)
+        .with_certification()
+        .configure_controller(|c| {
+            c.set_flow_idle_timeout(SimDuration::from_millis(300));
+            c.set_decision_cache(decision_cache);
+        });
+    let gw = b.add_gateway_with_app(0, HttpServer::new());
+    let ses: Vec<SeHandle> = (0..ids)
+        .map(|_| b.add_service_element(0, ServiceElement::new(IdsEngine::engine())))
+        .collect();
+    b.add_user(
+        1,
+        HttpClient::new(gw.ip, 20_000).with_think_time(SimDuration::from_millis(400)),
+    );
+    let mut campus = b.finish();
+    setup(&mut campus, &ses);
+    campus.world.run_for(SimDuration::from_secs(3));
+    change(&mut campus, &ses);
+    let mut steps = Vec::with_capacity(300);
+    for _ in 0..300 {
+        campus.world.run_for(SimDuration::from_millis(10));
+        let c = campus.controller();
+        let latest = c
+            .monitor()
+            .of_tag("flow_start")
+            .filter_map(|e| match &e.kind {
+                EventKind::FlowStart { elements, .. } => Some(elements.clone()),
+                _ => None,
+            })
+            .last()
+            .unwrap_or_default();
+        steps.push((c.fast_path_stats(), latest));
+    }
+    (campus.controller().monitor().to_json(), ses, steps)
+}
+
+/// The only replica of a chained service goes offline between two
+/// setups of a cached key: the next setup is denied with
+/// `no-online-element`, and the cache stays invisible in the history.
+#[test]
+fn losing_the_last_replica_denies_the_cached_flow_identically() {
+    fn crash(campus: &mut Campus, ses: &[SeHandle]) {
+        let sw = campus.as_switches[ses[0].switch];
+        campus.world.node_mut::<AsSwitch>(sw).fail_port(ses[0].port);
+    }
+    let (with_cache, _, steps) = recurring_ids_flow(true, 1, |_, _| {}, crash);
+    let (without_cache, _, _) = recurring_ids_flow(false, 1, |_, _| {}, crash);
+    assert_eq!(with_cache, without_cache, "the cache changed the history");
+    assert!(
+        steps[0].0.hits > 0,
+        "the key was never served from the cache before the loss: {:?}",
+        steps[0].0
+    );
+    assert!(
+        with_cache.contains("no-online-element:intrusion-detection"),
+        "no setup was denied for want of a replica"
+    );
+}
+
+/// A replica joins between two setups of a cached key (its certificate
+/// is accepted only after the warm-up) and the balancer picks it: the
+/// hit's re-pick evicts the cached programs and caches programs
+/// recompiled for the new element, and the cache stays invisible in
+/// the history.
+#[test]
+fn a_new_replica_replaces_the_cached_steering_identically() {
+    fn only_first(campus: &mut Campus, ses: &[SeHandle]) {
+        let certs = std::iter::once(ses[0].cert).collect();
+        campus.controller_mut().set_required_certs(certs);
+    }
+    fn authorize_second(campus: &mut Campus, ses: &[SeHandle]) {
+        campus.controller_mut().authorize_cert(ses[1].cert);
+    }
+    let (with_cache, ses, steps) = recurring_ids_flow(true, 2, only_first, authorize_second);
+    let (without_cache, _, _) = recurring_ids_flow(false, 2, only_first, authorize_second);
+    assert_eq!(with_cache, without_cache, "the cache changed the history");
+    assert_eq!(
+        steps[0].1,
+        vec![ses[0].mac],
+        "the flow ran through the first replica before the join"
+    );
+    // The 10 ms step in which the flow first moved to the new replica
+    // holds a hit whose re-pick replaced the entry: one eviction and
+    // one insertion, no miss.
+    let moved = steps
+        .iter()
+        .position(|(_, elements)| *elements == vec![ses[1].mac])
+        .expect("the new replica never took the flow");
+    let (before, after) = (&steps[moved - 1].0, &steps[moved].0);
+    assert_eq!(
+        (
+            after.hits - before.hits,
+            after.misses - before.misses,
+            after.invalidations - before.invalidations,
+            after.insertions - before.insertions,
+        ),
+        (1, 0, 1, 1),
+        "the move was not a hit that replaced the entry: {before:?} -> {after:?}"
+    );
+}
